@@ -533,6 +533,9 @@ mod tests {
             0
         );
         let db = Database::new();
+        // the default (0) means one worker per core, so pin the serial
+        // window explicitly
+        db.execute("SET exec_parallelism = 1").unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
         let tuples: Vec<String> = (0..200).map(|i| format!("({i})")).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", tuples.join(",")))

@@ -24,7 +24,7 @@ use aimdb_trace::{
 
 use crate::analyze::AnalyzeReport;
 use crate::catalog::{Catalog, Table};
-use crate::exec::{execute, ExecContext, OpKey, OpStats, WorkerSpan};
+use crate::exec::{ExecContext, OpKey, OpStats, WorkerSpan};
 use crate::exec_batch::execute_batched_parallel;
 use crate::fingerprint::{self, StatementStat, StatementStore};
 use crate::knobs::Knobs;
@@ -119,7 +119,7 @@ fn trim_label(sql: &str) -> String {
     }
 }
 
-/// Statement-kind label for traces entering through `execute_stmt`.
+/// Statement-kind label for statements entering through `execute_stmt`.
 fn stmt_label(stmt: &Statement) -> &'static str {
     match stmt {
         Statement::CreateTable { .. } => "CREATE TABLE",
@@ -146,6 +146,27 @@ fn stmt_label(stmt: &Statement) -> &'static str {
 /// Label for plans executed directly (no SQL text available).
 fn plan_label(plan: &PhysicalPlan) -> String {
     format!("plan: {}", plan.describe())
+}
+
+/// Run `f` under a span named `name` when a trace is active.
+fn in_span<T>(tb: &mut Option<&mut TraceBuilder<'_>>, name: &str, f: impl FnOnce() -> T) -> T {
+    let id = tb.as_deref_mut().map(|t| t.open(name));
+    let out = f();
+    if let (Some(t), Some(id)) = (tb.as_deref_mut(), id) {
+        t.close(id);
+    }
+    out
+}
+
+/// One plan execution: result rows, cost units, per-operator stats.
+type PlanRun = (Vec<Row>, f64, Vec<(OpKey, OpStats)>);
+
+/// What a statement enters [`Database::run_statement`] with.
+enum StmtInput<'a> {
+    /// Raw SQL, parsed inside the lifecycle under a `parse` span.
+    Sql(&'a str),
+    /// An already-parsed statement (scripts), labelled by its kind.
+    Parsed(&'a Statement),
 }
 
 /// An in-process database instance.
@@ -187,6 +208,9 @@ pub struct Database {
     /// Lock-order witness violations already reported to the flight
     /// recorder (the witness counter is monotone).
     witness_seen: AtomicU64,
+    /// Available cores (capped at the `exec_parallelism` maximum),
+    /// resolved once: the morsel worker count when the knob is 0.
+    cores: usize,
 }
 
 thread_local! {
@@ -313,6 +337,10 @@ impl Database {
             flight: Arc::new(FlightRecorder::default()),
             stmt_stats: StatementStore::default(),
             witness_seen: AtomicU64::new(0),
+            cores: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+                .min(64),
         }
     }
 
@@ -582,48 +610,7 @@ impl Database {
     /// `h`. Reads see the handle's snapshot plus its own writes; DDL and
     /// transaction-control statements are rejected.
     pub fn execute_in(&self, h: &TxnHandle, sql: &str) -> Result<QueryResult> {
-        let obs = self.begin_statement(fingerprint::fingerprint(sql));
-        let stmt = match parse_one(sql) {
-            Ok(stmt) => stmt,
-            Err(e) => {
-                let out = Err(e);
-                self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-                return out;
-            }
-        };
-        let out = match &stmt {
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => self.exec_insert(table, columns.as_deref(), rows, Some(h)),
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => self.exec_update(table, assignments, where_clause.as_ref(), Some(h)),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.exec_delete(table, where_clause.as_ref(), Some(h)),
-            Statement::Select(sel) => {
-                let plan = self.plan(sel)?;
-                let (rows, _) = self.exec_plan_traced(&plan, None, Some(h.snapshot()))?;
-                Ok(QueryResult::Rows {
-                    schema: plan.schema.clone(),
-                    rows,
-                })
-            }
-            other => Err(AimError::Execution(format!(
-                "transaction handles support DML and SELECT, got {}",
-                stmt_label(other)
-            ))),
-        };
-        if out.is_err() {
-            self.metrics.record_error();
-        }
-        self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-        out
+        self.run_statement(StmtInput::Sql(sql), Some(h))
     }
 
     /// Commit the transaction of `h`: its commit record becomes durable
@@ -838,46 +825,7 @@ impl Database {
     /// the whole lifecycle — parse, optimize, verify, execute — runs
     /// under a trace recorded into [`Database::tracer`].
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let obs = self.begin_statement(fingerprint::fingerprint(sql));
-        if !self.tracing_enabled() {
-            let stmt = match parse_one(sql) {
-                Ok(stmt) => stmt,
-                Err(e) => {
-                    let out = Err(e);
-                    self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-                    return out;
-                }
-            };
-            let out = self.dispatch(&stmt, None);
-            if out.is_err() {
-                self.metrics.record_error();
-            }
-            self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-            return out;
-        }
-        let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), trim_label(sql));
-        let pid = tb.open("parse");
-        let parsed = parse_one(sql);
-        tb.close(pid);
-        let stmt = match parsed {
-            Ok(stmt) => stmt,
-            Err(e) => {
-                let out = Err(e);
-                self.end_statement(obs, &fingerprint::normalize(sql), &out, Some(&mut tb));
-                self.tracer.record(tb.finish());
-                return out;
-            }
-        };
-        let out = self.dispatch(&stmt, Some(&mut tb));
-        if out.is_err() {
-            self.metrics.record_error();
-        }
-        self.end_statement(obs, &fingerprint::normalize(sql), &out, Some(&mut tb));
-        if self.tracing_enabled() {
-            self.tracer.record(tb.finish());
-        }
-        out
+        self.run_statement(StmtInput::Sql(sql), None)
     }
 
     /// Execute a `;`-separated script, returning each statement's result.
@@ -888,26 +836,37 @@ impl Database {
     /// Execute a parsed statement (traced like [`Database::execute`],
     /// minus the parse span).
     pub fn execute_stmt(&self, stmt: &Statement) -> Result<QueryResult> {
-        // No raw SQL here, so statements fingerprint by kind label — the
-        // same bounded-store surface, one shape per statement kind.
-        let label = stmt_label(stmt);
+        self.run_statement(StmtInput::Parsed(stmt), None)
+    }
+
+    /// The one statement lifecycle behind [`Database::execute`],
+    /// [`Database::execute_stmt`] and [`Database::execute_in`]: open the
+    /// observation window, parse and dispatch under a trace when
+    /// `query_tracing` is on, count errors, close the window and record
+    /// the trace.
+    fn run_statement(&self, input: StmtInput<'_>, h: Option<&TxnHandle>) -> Result<QueryResult> {
+        // Parsed statements have no raw SQL, so they fingerprint by kind
+        // label — the same bounded-store surface, one shape per kind.
+        let label = match input {
+            StmtInput::Sql(sql) => sql,
+            StmtInput::Parsed(stmt) => stmt_label(stmt),
+        };
         let obs = self.begin_statement(fingerprint::fingerprint(label));
-        if !self.tracing_enabled() {
-            let out = self.dispatch(stmt, None);
-            if out.is_err() {
-                self.metrics.record_error();
-            }
-            self.end_statement(obs, &fingerprint::normalize(label), &out, None);
-            return out;
-        }
         let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), label);
-        let out = self.dispatch(stmt, Some(&mut tb));
+        let mut tb = self
+            .tracing_enabled()
+            .then(|| TraceBuilder::new(clock.as_ref(), trim_label(label)));
+        let out = match input {
+            StmtInput::Sql(sql) => in_span(&mut tb.as_mut(), "parse", || parse_one(sql))
+                .and_then(|stmt| self.dispatch(&stmt, h, tb.as_mut())),
+            StmtInput::Parsed(stmt) => self.dispatch(stmt, h, tb.as_mut()),
+        };
         if out.is_err() {
             self.metrics.record_error();
         }
-        self.end_statement(obs, &fingerprint::normalize(label), &out, Some(&mut tb));
-        if self.tracing_enabled() {
+        self.end_statement(obs, &fingerprint::normalize(label), &out, tb.as_mut());
+        // Re-read the knob so `SET query_tracing = 0` is itself untraced.
+        if let Some(tb) = tb.filter(|_| self.tracing_enabled()) {
             self.tracer.record(tb.finish());
         }
         out
@@ -996,11 +955,27 @@ impl Database {
         *self.clock.write() = clock;
     }
 
+    /// Run one parsed statement. Inside a transaction handle only DML
+    /// and SELECT are accepted; they read and write through the handle.
     fn dispatch(
         &self,
         stmt: &Statement,
+        h: Option<&TxnHandle>,
         mut tb: Option<&mut TraceBuilder<'_>>,
     ) -> Result<QueryResult> {
+        let dml_or_select = matches!(
+            stmt,
+            Statement::Insert { .. }
+                | Statement::Update { .. }
+                | Statement::Delete { .. }
+                | Statement::Select(_)
+        );
+        if h.is_some() && !dml_or_select {
+            return Err(AimError::Execution(format!(
+                "transaction handles support DML and SELECT, got {}",
+                stmt_label(stmt)
+            )));
+        }
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(
@@ -1055,17 +1030,10 @@ impl Database {
                 table,
                 columns,
                 rows,
-            } => self.exec_insert(table, columns.as_deref(), rows, None),
+            } => self.exec_insert(table, columns.as_deref(), rows, h),
             Statement::Select(sel) => {
-                let plan = {
-                    let oid = tb.as_deref_mut().map(|t| t.open("optimize"));
-                    let plan = self.plan(sel);
-                    if let (Some(t), Some(id)) = (tb.as_deref_mut(), oid) {
-                        t.close(id);
-                    }
-                    plan?
-                };
-                let (rows, _) = self.exec_plan_traced(&plan, tb, None)?;
+                let plan = in_span(&mut tb, "optimize", || self.plan(sel))?;
+                let (rows, _, _) = self.exec_plan_traced(&plan, tb, h.map(TxnHandle::snapshot))?;
                 Ok(QueryResult::Rows {
                     schema: plan.schema.clone(),
                     rows,
@@ -1075,11 +1043,11 @@ impl Database {
                 table,
                 assignments,
                 where_clause,
-            } => self.exec_update(table, assignments, where_clause.as_ref(), None),
+            } => self.exec_update(table, assignments, where_clause.as_ref(), h),
             Statement::Delete {
                 table,
                 where_clause,
-            } => self.exec_delete(table, where_clause.as_ref(), None),
+            } => self.exec_delete(table, where_clause.as_ref(), h),
             Statement::Begin => {
                 let id = self.txn.lock().begin(&self.wal)?;
                 self.runtime.register(id);
@@ -1087,12 +1055,7 @@ impl Database {
             }
             Statement::Commit => {
                 let id = self.txn.lock().take_active()?;
-                let sid = tb.as_deref_mut().map(|t| t.open("commit"));
-                let out = self.commit_mvcc(id);
-                if let (Some(t), Some(s)) = (tb.as_deref_mut(), sid) {
-                    t.close(s);
-                }
-                out?;
+                in_span(&mut tb, "commit", || self.commit_mvcc(id))?;
                 // Best-effort: the commit is durable; a checkpoint failure
                 // surfaces on the next statement instead.
                 let _ = self.maybe_checkpoint();
@@ -1100,12 +1063,7 @@ impl Database {
             }
             Statement::Rollback => {
                 let id = self.txn.lock().take_active()?;
-                let sid = tb.as_deref_mut().map(|t| t.open("rollback"));
-                let out = self.rollback_mvcc(id);
-                if let (Some(t), Some(s)) = (tb.as_deref_mut(), sid) {
-                    t.close(s);
-                }
-                out?;
+                in_span(&mut tb, "rollback", || self.rollback_mvcc(id))?;
                 self.metrics.record_abort();
                 Ok(QueryResult::Text("rollback".into()))
             }
@@ -1117,10 +1075,7 @@ impl Database {
                 other => Ok(QueryResult::Text(format!("{other:?}"))),
             },
             Statement::ExplainAnalyze(inner) => match inner.as_ref() {
-                Statement::Select(sel) => {
-                    let report = self.explain_analyze_traced(sel, tb)?;
-                    Ok(QueryResult::Text(report.text))
-                }
+                Statement::Select(sel) => Ok(QueryResult::Text(self.analyze_select(sel, tb)?.text)),
                 other => Err(AimError::Plan(format!(
                     "EXPLAIN ANALYZE supports SELECT statements, got {other:?}"
                 ))),
@@ -1236,32 +1191,34 @@ impl Database {
         self.exec_plan(plan)
     }
 
-    /// The single plan-execution path. Entry point for callers that hold
-    /// a plan but no statement-level trace (tuners, learned-optimizer
-    /// experiments): starts its own trace when tracing is enabled.
+    /// Plan-execution entry for callers that hold a plan but no
+    /// statement (tuners, learned-optimizer experiments): records its own
+    /// trace when tracing is enabled.
     fn exec_plan(&self, plan: &PhysicalPlan) -> Result<(Vec<Row>, f64)> {
-        if !self.tracing_enabled() {
-            return self.exec_plan_traced(plan, None, None);
-        }
         let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), plan_label(plan));
+        let mut tb = self
+            .tracing_enabled()
+            .then(|| TraceBuilder::new(clock.as_ref(), plan_label(plan)));
         let w0 = wait::thread_snapshot();
-        let out = self.exec_plan_traced(plan, Some(&mut tb), None);
-        tb.set_waits(wait::thread_snapshot().delta_since(&w0));
-        self.tracer.record(tb.finish());
-        out
+        let out = self.exec_plan_traced(plan, tb.as_mut(), None);
+        if let Some(mut tb) = tb {
+            tb.set_waits(wait::thread_snapshot().delta_since(&w0));
+            self.tracer.record(tb.finish());
+        }
+        out.map(|(rows, cost, _)| (rows, cost))
     }
 
-    /// Verify (debug builds), dispatch to the vectorized or row executor
-    /// per the `vectorized_exec` knob, flush per-operator and per-query
-    /// metrics, and — when a trace is active — record verify/execute
-    /// spans, buffer-pool deltas and the operator profile.
+    /// The single plan-execution path: verify (debug builds), run the
+    /// morsel-parallel vectorized executor, flush per-operator and
+    /// per-query metrics, and — when a trace is active — record
+    /// verify/execute spans, buffer-pool deltas and the operator profile.
+    /// Returns the rows, the cost units and the per-operator stats.
     fn exec_plan_traced(
         &self,
         plan: &PhysicalPlan,
         mut tb: Option<&mut TraceBuilder<'_>>,
         snap: Option<Snapshot>,
-    ) -> Result<(Vec<Row>, f64)> {
+    ) -> Result<PlanRun> {
         // Reads go through a snapshot when a transaction supplies one
         // (handle or session BEGIN); otherwise a statement-scoped
         // read snapshot so concurrent commits appear atomically. The
@@ -1273,42 +1230,28 @@ impl Database {
                 (s, Some(g))
             }
         };
-        let snap = Some(snap);
         // Debug builds statically verify every plan before running it, so
         // the whole test suite doubles as a verifier soak test.
         #[cfg(debug_assertions)]
-        {
-            let vid = tb.as_deref_mut().map(|t| t.open("verify"));
-            crate::verify::verify(plan, &self.catalog)?;
-            if let (Some(t), Some(id)) = (tb.as_deref_mut(), vid) {
-                t.close(id);
-            }
-        }
+        in_span(&mut tb, "verify", || {
+            crate::verify::verify(plan, &self.catalog)
+        })?;
         let fns = EngineFns {
             hook: self.hook.read().clone(),
         };
-        let vectorized = self.knobs.get("vectorized_exec").unwrap_or(1) != 0;
+        let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
         let clock = self.clock();
         let eid = tb.as_deref_mut().map(|t| t.open("execute"));
         let pool_before = tb.is_some().then(|| self.pool.stats());
-        let (rows, cost, ops) = if vectorized {
-            let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
-            let workers = self.exec_workers();
-            let ctx = ExecContext::with_clock(&self.catalog, &fns, clock.as_ref());
-            ctx.set_snapshot(snap);
-            let rows = execute_batched_parallel(plan, &ctx, bs, workers)?;
-            let ops = ctx.take_op_stats();
-            self.flush_op_stats(&ops);
-            self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
-            let cost = ctx.cost_units();
-            (rows, cost, ops)
-        } else {
-            let ctx = ExecContext::new(&self.catalog, &fns);
-            ctx.set_snapshot(snap);
-            let rows = execute(plan, &ctx)?;
-            let cost = ctx.cost_units();
-            (rows, cost, Vec::new())
-        };
+        let ctx = ExecContext::with_clock(&self.catalog, &fns, clock.as_ref());
+        ctx.set_snapshot(Some(snap));
+        let rows = execute_batched_parallel(plan, &ctx, bs, self.exec_workers())?;
+        let ops = ctx.take_op_stats();
+        for &((name, node, worker), stats) in &ops {
+            self.metrics.record_operator(name, node, worker, stats);
+        }
+        self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
+        let cost = ctx.cost_units();
         if let Some(t) = tb {
             t.add_rows(rows.len() as u64);
             t.add_batches(ops.iter().map(|(_, st)| st.batches).max().unwrap_or(0));
@@ -1327,26 +1270,15 @@ impl Database {
         }
         self.metrics.record_query(rows.len() as u64, cost);
         STMT_COST.with(|c| c.set(c.get() + cost));
-        Ok((rows, cost))
-    }
-
-    fn flush_op_stats(&self, ops: &[(OpKey, OpStats)]) {
-        for &((name, node, worker), stats) in ops {
-            self.metrics.record_operator(name, node, worker, stats);
-        }
+        Ok((rows, cost, ops))
     }
 
     /// Resolve the `exec_parallelism` knob to a morsel worker count:
     /// 0 means one worker per available core (capped at the knob max).
     fn exec_workers(&self) -> usize {
-        let n = self.knobs.get("exec_parallelism").unwrap_or(0);
-        if n > 0 {
-            n as usize
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(64)
+        match self.knobs.get("exec_parallelism").unwrap_or(0) {
+            n if n > 0 => n as usize,
+            _ => self.cores,
         }
     }
 
@@ -1383,62 +1315,20 @@ impl Database {
         }
     }
 
-    /// `EXPLAIN ANALYZE` as an API: execute `sel` through the
-    /// instrumented vectorized pipeline and return the plan annotated
-    /// with per-node actuals and `QEvalError`s. Metrics are recorded as
-    /// for a normal execution.
+    /// `EXPLAIN ANALYZE` as an API: execute `sel` and return the plan
+    /// annotated with per-node actuals and `QEvalError`s. Metrics are
+    /// recorded as for a normal execution.
     pub fn explain_analyze(&self, sel: &Select) -> Result<AnalyzeReport> {
-        self.explain_analyze_traced(sel, None)
+        self.analyze_select(sel, None)
     }
 
-    fn explain_analyze_traced(
+    fn analyze_select(
         &self,
         sel: &Select,
         mut tb: Option<&mut TraceBuilder<'_>>,
     ) -> Result<AnalyzeReport> {
-        let plan = {
-            let oid = tb.as_deref_mut().map(|t| t.open("optimize"));
-            let plan = self.plan(sel);
-            if let (Some(t), Some(id)) = (tb.as_deref_mut(), oid) {
-                t.close(id);
-            }
-            plan?
-        };
-        #[cfg(debug_assertions)]
-        crate::verify::verify(&plan, &self.catalog)?;
-        let fns = EngineFns {
-            hook: self.hook.read().clone(),
-        };
-        // Always the instrumented vectorized pipeline: the per-operator
-        // actuals are the point, whatever `vectorized_exec` says.
-        let clock = self.clock();
-        let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
-        let eid = tb.as_deref_mut().map(|t| t.open("execute"));
-        let workers = self.exec_workers();
-        let ctx = ExecContext::with_clock(&self.catalog, &fns, clock.as_ref());
-        let (snap, _read_guard) = match self.session_snapshot() {
-            Some(s) => (s, None),
-            None => {
-                let (s, g) = self.read_snapshot();
-                (s, Some(g))
-            }
-        };
-        ctx.set_snapshot(Some(snap));
-        let rows = execute_batched_parallel(&plan, &ctx, bs, workers)?;
-        let ops = ctx.take_op_stats();
-        self.flush_op_stats(&ops);
-        self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
-        let cost = ctx.cost_units();
-        if let Some(t) = tb {
-            t.add_rows(rows.len() as u64);
-            t.add_cost(cost);
-            if let Some(id) = eid {
-                t.close(id);
-            }
-            t.set_ops(crate::analyze::op_profiles(&plan, &ops));
-        }
-        self.metrics.record_query(rows.len() as u64, cost);
-        STMT_COST.with(|c| c.set(c.get() + cost));
+        let plan = in_span(&mut tb, "optimize", || self.plan(sel))?;
+        let (rows, cost, ops) = self.exec_plan_traced(&plan, tb, None)?;
         Ok(crate::analyze::build_report(
             &plan,
             &ops,
@@ -1586,49 +1476,61 @@ impl Database {
     ) -> Result<QueryResult> {
         let t = self.catalog.table(table)?;
         let (txn, auto, _snap) = self.stmt_txn(h)?;
-        let body = || -> Result<usize> {
-            let mut n = 0;
-            for exprs in rows {
-                let vals: Vec<Value> = exprs
-                    .iter()
-                    .map(|e| e.eval(&Schema::default(), &Row::default(), &BuiltinFns))
-                    .collect::<Result<_>>()?;
-                let full = match columns {
-                    None => vals,
-                    Some(cols) => {
-                        if cols.len() != vals.len() {
-                            return Err(AimError::Plan(format!(
-                                "INSERT column list has {} names but {} values",
-                                cols.len(),
-                                vals.len()
-                            )));
-                        }
-                        let mut full = vec![Value::Null; t.schema.len()];
-                        for (c, v) in cols.iter().zip(vals) {
-                            full[t.schema.index_of(c)?] = v;
-                        }
-                        full
-                    }
-                };
-                let rid = t.mvcc_insert(full, txn)?;
-                self.runtime.record_write(
-                    txn,
-                    WriteOp::Created {
-                        table: table.to_string(),
-                        rid,
-                    },
-                );
-                // Log the stored row (the schema may have coerced values),
-                // so redo reproduces exactly what was persisted.
-                let stored = t.heap.get(rid)?.ok_or_else(|| {
-                    AimError::Storage(format!("row {rid:?} vanished after insert"))
-                })?;
-                log_insert(&self.wal, txn, table, rid, stored)?;
-                n += 1;
+        let full_rows = rows.iter().map(|exprs| {
+            let vals: Vec<Value> = exprs
+                .iter()
+                .map(|e| e.eval(&Schema::default(), &Row::default(), &BuiltinFns))
+                .collect::<Result<_>>()?;
+            let Some(cols) = columns else {
+                return Ok(vals);
+            };
+            if cols.len() != vals.len() {
+                return Err(AimError::Plan(format!(
+                    "INSERT column list has {} names but {} values",
+                    cols.len(),
+                    vals.len()
+                )));
             }
-            Ok(n)
-        };
-        self.finish_dml(txn, auto, body())
+            let mut full = vec![Value::Null; t.schema.len()];
+            for (c, v) in cols.iter().zip(vals) {
+                full[t.schema.index_of(c)?] = v;
+            }
+            Ok(full)
+        });
+        let out = self.insert_loop(&t, table, txn, full_rows);
+        self.finish_dml(txn, auto, out)
+    }
+
+    /// The per-row body shared by `INSERT` and [`Database::insert_rows`]:
+    /// write each full row as a new version owned by `txn`, add it to the
+    /// write-set, and WAL-log the row as stored.
+    fn insert_loop(
+        &self,
+        t: &Table,
+        table: &str,
+        txn: u64,
+        rows: impl IntoIterator<Item = Result<Vec<Value>>>,
+    ) -> Result<usize> {
+        let mut n = 0;
+        for full in rows {
+            let rid = t.mvcc_insert(full?, txn)?;
+            self.runtime.record_write(
+                txn,
+                WriteOp::Created {
+                    table: table.to_string(),
+                    rid,
+                },
+            );
+            // Log the stored row (the schema may have coerced values),
+            // so redo reproduces exactly what was persisted.
+            let stored = t
+                .heap
+                .get(rid)?
+                .ok_or_else(|| AimError::Storage(format!("row {rid:?} vanished after insert")))?;
+            log_insert(&self.wal, txn, table, rid, stored)?;
+            n += 1;
+        }
+        Ok(n)
     }
 
     /// Batched ingest: insert many pre-built rows into `table` as one
@@ -1642,28 +1544,8 @@ impl Database {
     pub fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
         let t = self.catalog.table(table)?;
         let (txn, auto, _snap) = self.stmt_txn(None)?;
-        let body = || -> Result<usize> {
-            let mut n = 0;
-            for full in rows {
-                let rid = t.mvcc_insert(full, txn)?;
-                self.runtime.record_write(
-                    txn,
-                    WriteOp::Created {
-                        table: table.to_string(),
-                        rid,
-                    },
-                );
-                // Log the stored row (the schema may have coerced values),
-                // so redo reproduces exactly what was persisted.
-                let stored = t.heap.get(rid)?.ok_or_else(|| {
-                    AimError::Storage(format!("row {rid:?} vanished after insert"))
-                })?;
-                log_insert(&self.wal, txn, table, rid, stored)?;
-                n += 1;
-            }
-            Ok(n)
-        };
-        match self.finish_dml(txn, auto, body())? {
+        let out = self.insert_loop(&t, table, txn, rows.into_iter().map(Ok));
+        match self.finish_dml(txn, auto, out)? {
             QueryResult::Affected(n) => Ok(n),
             _ => Err(AimError::Execution("insert_rows: non-DML result".into())),
         }
@@ -2377,6 +2259,9 @@ mod tests {
     #[test]
     fn two_filters_in_one_plan_keep_separate_counters() {
         let db = observability_fixture();
+        // serial, so each node has one (worker 0) counter: at the default
+        // one-worker-per-core, a scan node gets one counter per worker
+        db.execute("SET exec_parallelism = 1").unwrap();
         // self-join where both sides carry a filter: two seq_scan nodes
         // with embedded predicates at distinct node ids
         db.execute("SELECT a.id FROM ev a, ev b WHERE a.id = b.id AND a.amt > 10.0 AND b.grp = 1")
@@ -2391,5 +2276,89 @@ mod tests {
         let nodes: std::collections::HashSet<usize> =
             scans.iter().map(|((_, node, _), _)| *node).collect();
         assert_eq!(nodes.len(), scans.len(), "node ids collide");
+    }
+
+    /// What one statement left behind: stmt_begin events, stmt_end
+    /// error flags, statement-stats call and error deltas, and traces.
+    fn footprint(
+        db: &Database,
+        run: impl FnOnce(),
+    ) -> (usize, Vec<u64>, u64, u64, Vec<Arc<QueryTrace>>) {
+        let totals = || {
+            db.statement_stats()
+                .iter()
+                .fold((0, 0), |(c, e), s| (c + s.calls, e + s.errors))
+        };
+        let flight = db.flight_recorder();
+        let mark = flight.events().last().map(|e| e.seq);
+        let (calls0, errors0) = totals();
+        db.tracer.clear();
+        run();
+        let events = flight.events();
+        let new = || events.iter().filter(|e| mark.is_none_or(|m| e.seq > m));
+        let begins = new().filter(|e| e.kind.name() == "stmt_begin").count();
+        let ends = new().filter(|e| e.kind.name() == "stmt_end").map(|e| e.c);
+        let (calls1, errors1) = totals();
+        let traces = db.recent_traces();
+        (
+            begins,
+            ends.collect(),
+            calls1 - calls0,
+            errors1 - errors0,
+            traces,
+        )
+    }
+
+    #[test]
+    fn every_entry_point_observes_statements_alike() {
+        let db = observability_fixture();
+        db.execute("SET query_tracing = 1").unwrap();
+        let h = db.begin_txn().unwrap();
+        for entry in ["execute", "run_script", "execute_in"] {
+            for (sql, fails) in [
+                ("SELECT COUNT(*) FROM ev", false),
+                ("SELECT * FROM nope", true),
+            ] {
+                let (begins, ends, calls, errors, traces) = footprint(&db, || {
+                    let out = match entry {
+                        "execute" => db.execute(sql).map(drop),
+                        "run_script" => db.run_script(sql).map(drop),
+                        _ => db.execute_in(&h, sql).map(drop),
+                    };
+                    assert_eq!(out.is_err(), fails, "{entry} {sql}");
+                });
+                // (optimize span, execute span) of each recorded trace
+                let spans: Vec<_> = traces
+                    .iter()
+                    .map(|t| (t.span("optimize").is_some(), t.span("execute").is_some()))
+                    .collect();
+                assert_eq!(
+                    (begins, ends, calls, errors, spans),
+                    (1, vec![fails as u64], 1, fails as u64, vec![(true, !fails)]),
+                    "{entry} {sql}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failing_select_in_txn_handle_closes_its_statement() {
+        let db = observability_fixture();
+        db.execute("SET query_tracing = 0").unwrap();
+        let h = db.begin_txn().unwrap();
+        let (_, ends, _, errors, _) = footprint(&db, || {
+            assert!(db.execute_in(&h, "SELECT * FROM missing").is_err());
+        });
+        assert_eq!((ends, errors, db.kpis().errors), (vec![1], 1, 1));
+    }
+
+    #[test]
+    fn txn_handle_rejects_non_dml_statements() {
+        let db = observability_fixture();
+        let h = db.begin_txn().unwrap();
+        let err = db.execute_in(&h, "CREATE TABLE x (a INT)").unwrap_err();
+        let want = "transaction handles support DML and SELECT, got CREATE TABLE";
+        assert!(matches!(&err, AimError::Execution(m) if m == want), "{err}");
+        assert!(db.catalog.table("x").is_err(), "DDL must not run");
     }
 }

@@ -97,13 +97,6 @@ pub const KNOB_SPECS: &[KnobSpec] = &[
         description: "rows sampled by ANALYZE",
     },
     KnobSpec {
-        name: "vectorized_exec",
-        min: 0,
-        max: 1,
-        default: 1,
-        description: "execute queries through the batch pipeline (0 = row-at-a-time)",
-    },
-    KnobSpec {
         name: "exec_batch_size",
         min: 64,
         max: 65536,
@@ -233,6 +226,18 @@ mod tests {
         assert!(snap.iter().any(|&(n, v)| n == "work_mem_kb" && v == 128));
         k.reset();
         assert_eq!(k.get("work_mem_kb").unwrap(), 4096);
+    }
+
+    #[test]
+    fn knob_space_is_pinned() {
+        // Adding or removing a knob changes the tuners' configuration
+        // space: update this list deliberately, in the same change.
+        let names: Vec<&str> = KNOB_SPECS.iter().map(|s| s.name).collect();
+        let pinned = "buffer_pool_pages work_mem_kb max_connections admission_max_statements \
+                      admission_queue_timeout_ms wal_sync parallel_workers checkpoint_interval \
+                      random_page_cost stats_sample_rows exec_batch_size exec_parallelism \
+                      group_commit_window query_tracing slow_query_cost_threshold";
+        assert_eq!(names.join(" "), pinned);
     }
 
     #[test]

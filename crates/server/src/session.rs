@@ -410,4 +410,57 @@ mod tests {
         let e = s.execute_prepared(&db, "nope", &[]).expect_err("unknown");
         assert_eq!(e.category(), "not_found");
     }
+
+    #[test]
+    fn dispatch_observes_statements_like_the_engine_entry_points() {
+        // One statement through a session, autocommit or inside BEGIN,
+        // leaves exactly one stmt_begin/stmt_end pair, one statement-stats
+        // call (plus one error when it fails) and one trace.
+        let db = db_with_kv();
+        let flight = db.flight_recorder();
+        let totals = || {
+            db.statement_stats()
+                .iter()
+                .fold((0, 0), |(c, e), st| (c + st.calls, e + st.errors))
+        };
+        for in_txn in [false, true] {
+            let mut s = Session::new(1);
+            if in_txn {
+                s.dispatch(&db, "BEGIN").expect("begin");
+            }
+            for (sql, fails) in [
+                ("SELECT v FROM kv WHERE k = 1", false),
+                ("SELECT * FROM nope", true),
+            ] {
+                let mark = flight.events().last().map(|e| e.seq);
+                let (calls0, errors0) = totals();
+                db.tracer.clear();
+                assert_eq!(s.dispatch(&db, sql).is_err(), fails, "{sql}");
+                let events = flight.events();
+                let count = |kind: &str| {
+                    let new = events.iter().filter(|e| mark.is_none_or(|m| e.seq > m));
+                    new.filter(|e| e.kind.name() == kind).count()
+                };
+                let (calls1, errors1) = totals();
+                // (optimize span, execute span) of each recorded trace
+                let spans: Vec<_> = db
+                    .recent_traces()
+                    .iter()
+                    .map(|t| (t.span("optimize").is_some(), t.span("execute").is_some()))
+                    .collect();
+                assert_eq!(
+                    (
+                        count("stmt_begin"),
+                        count("stmt_end"),
+                        calls1 - calls0,
+                        errors1 - errors0,
+                        spans
+                    ),
+                    (1, 1, 1, fails as u64, vec![(true, !fails)]),
+                    "in_txn={in_txn} {sql}"
+                );
+            }
+            s.close(&db).expect("close");
+        }
+    }
 }

@@ -1,9 +1,13 @@
 //! Drive the vectorized executor end-to-end through the public API:
-//! run a workload through the batch pipeline, re-run it row-at-a-time
-//! via `SET vectorized_exec = 0`, compare results, and read the
-//! per-operator metrics the batch executor records.
+//! run a workload through the batch pipeline, re-run each query's plan
+//! through the row-at-a-time reference executor (`engine::exec`, the
+//! differential oracle), compare results, and read the per-operator
+//! metrics the batch executor records.
 
+use aimdb::engine::exec::{execute, ExecContext};
 use aimdb::engine::Database;
+use aimdb::sql::expr::BuiltinFns;
+use aimdb::sql::{parse, Statement};
 
 fn main() {
     let db = Database::new();
@@ -32,7 +36,7 @@ fn main() {
         "SELECT e.id, f.id FROM events e, events f WHERE e.id = f.id AND e.id < 4",
     ];
 
-    println!("-- vectorized (default), then row executor, same workload --");
+    println!("-- vectorized executor, then the row oracle, same workload --");
     let mut vectorized = Vec::new();
     for sql in workload {
         let r = db.execute(sql).expect("batch run");
@@ -48,17 +52,19 @@ fn main() {
         );
     }
 
-    db.execute("SET vectorized_exec = 0").expect("knob off");
     for (sql, expect) in workload.iter().zip(&vectorized) {
-        let r = db.execute(sql).expect("row run");
-        assert_eq!(r.rows(), expect.as_slice(), "executors disagree on {sql}");
+        let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+            panic!("workload holds only SELECTs: {sql}");
+        };
+        let plan = db.plan(&sel).expect("plan");
+        let rows = execute(&plan, &ExecContext::new(&db.catalog, &BuiltinFns)).expect("row run");
+        assert_eq!(rows, *expect, "executors disagree on {sql}");
     }
     println!(
         "-- row executor returned identical results on all {} queries --",
         workload.len()
     );
 
-    db.execute("SET vectorized_exec = 1").expect("knob on");
     db.execute("SET exec_batch_size = 64").expect("batch size");
     for (sql, expect) in workload.iter().zip(&vectorized) {
         let r = db.execute(sql).expect("small-batch run");

@@ -18,6 +18,10 @@ run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
 # L003 error hygiene
 run cargo run -q -p lint --release
 run cargo test -q --workspace
+# the wire-level benchmark is a workspace of its own that builds against
+# the engine by path: its self-tests keep an engine API change from
+# silently breaking the benchmark's build
+run cargo test --release --offline --manifest-path wirebench/Cargo.toml
 # executor equivalence: 1200 generated queries through both the row and
 # the vectorized executor (plus the NULL-heavy / empty-table edge suites),
 # and the thread-count differential matrix — the same corpus through the
